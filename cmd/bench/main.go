@@ -13,21 +13,34 @@
 //	bench                  # 1s per benchmark, writes BENCH_qft.json
 //	bench -benchtime 3x    # exactly 3 iterations per benchmark
 //	bench -out report.json # alternate output path
-//	bench -check           # 1 iteration each, validate the JSON, write nothing
+//	bench -check           # 1 iteration each, validate, gate allocs against -out, write nothing
 //	bench -stamp 2026-08-07T00:00:00Z  # pin the generated timestamp (diff-stable reruns)
 //
 // The -check form is the CI smoke mode: it exercises every benchmark
 // body and the whole JSON emission path in seconds, failing loudly if
 // either rots, without recording numbers from an unloaded shared
-// runner as if they were a trustworthy baseline.
+// runner as if they were a trustworthy baseline.  It also gates
+// allocations: allocation counts, unlike timings, are a deterministic
+// function of the code, so -check fails when a single-goroutine entry
+// (see allocGated) allocates more than 2% above the allocs_per_op
+// committed in the report at -out.  Timings stay advisory.
+//
+// A report records the git revision it was measured at when the binary
+// carries one, which `go build` stamps inside a git checkout (`go run`
+// does not):
+//
+//	go build -o bench ./cmd/bench && ./bench
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +57,10 @@ type report struct {
 	Go   string `json:"go"`
 	OS   string `json:"os"`
 	Arch string `json:"arch"`
+	// Revision is the git revision of the measured code, with a
+	// "+modified" suffix for a dirty tree, or empty when the binary
+	// carries no VCS stamp.
+	Revision string `json:"revision,omitempty"`
 	// CPUs is the logical CPU count of the measuring machine — required
 	// context for the ParallelQFT numbers: the partitioned engine cannot
 	// beat the serial one on a single-CPU box no matter how well it
@@ -117,6 +134,7 @@ func main() {
 		Go:        runtime.Version(),
 		OS:        runtime.GOOS,
 		Arch:      runtime.GOARCH,
+		Revision:  revision(),
 		CPUs:      runtime.NumCPU(),
 		Generated: generated,
 		Benchtime: *benchtime,
@@ -138,7 +156,13 @@ func main() {
 		os.Exit(1)
 	}
 	if *check {
-		fmt.Printf("bench: ok (%d benchmarks, JSON emitter valid, nothing written)\n", len(rep.Benchmarks))
+		gated, err := checkAllocs(rep.Benchmarks, *out)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bench: allocation gate failed:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("bench: ok (%d benchmarks, JSON emitter valid, %d allocation counts within %.0f%% of %s, nothing written)\n",
+			len(rep.Benchmarks), gated, 100*allocTolerance, *out)
 		return
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
@@ -166,7 +190,8 @@ type namedBench struct {
 
 // benchmarks enumerates the report's benchmark suite in fixed order:
 // the engine micro-benchmarks, the cancellation regression sizes, the
-// full-run layout x policy matrix, the 8-worker sweep and the
+// semaphore wait queue, the full-run layout x policy matrix, the
+// parallel replay, the tracer modes, the 8-worker sweep and the
 // 2-worker distributed sweep.
 func benchmarks() []namedBench {
 	list := []namedBench{{name: "EngineSchedule", fn: perfbench.EngineSchedule}}
@@ -176,6 +201,10 @@ func benchmarks() []namedBench {
 			fn:   perfbench.EngineCancel(n),
 		})
 	}
+	list = append(list, namedBench{
+		name: fmt.Sprintf("SemaphoreQueue/waiters=%d", perfbench.SemaphoreQueueWaiters),
+		fn:   perfbench.SemaphoreQueue(perfbench.SemaphoreQueueWaiters),
+	})
 	for _, cfg := range perfbench.FullRunConfigs() {
 		list = append(list, namedBench{
 			name: "QFT/" + cfg.Name,
@@ -199,6 +228,84 @@ func benchmarks() []namedBench {
 	list = append(list, namedBench{name: "Sweep/workers=8", fn: perfbench.SweepWorkers(8)})
 	list = append(list, namedBench{name: "DistribSweep/workers=2", fn: perfbench.DistributedSweep(2)})
 	return list
+}
+
+// allocTolerance is the relative allocs/op headroom -check grants a
+// gated entry over its committed count.
+const allocTolerance = 0.02
+
+// allocGated reports whether -check gates an entry's allocs/op: the
+// benchmarks that run on one goroutine, whose allocation counts are a
+// deterministic function of the code.  Sweep, DistribSweep and the
+// ParallelQFT replay run worker goroutines whose allocations depend on
+// scheduling, so they are not gated.
+func allocGated(name string) bool {
+	for _, prefix := range []string{"Engine", "SemaphoreQueue/", "QFT/", "TraceQFT/"} {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkAllocs compares every gated measurement against the committed
+// report at path, returning how many entries it checked.  A gated
+// entry fails when it allocates more than allocTolerance above its
+// committed allocs_per_op, or when the committed report lacks it.
+func checkAllocs(measured []entry, path string) (int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, fmt.Errorf("reading the committed report: %w", err)
+	}
+	var committed report
+	if err := json.Unmarshal(data, &committed); err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	base := make(map[string]int64, len(committed.Benchmarks))
+	for _, e := range committed.Benchmarks {
+		base[e.Name] = e.AllocsPerOp
+	}
+	var gated int
+	var fails []string
+	for _, e := range measured {
+		if !allocGated(e.Name) {
+			continue
+		}
+		gated++
+		want, ok := base[e.Name]
+		switch {
+		case !ok:
+			fails = append(fails, fmt.Sprintf("%s: no committed allocs_per_op in %s", e.Name, path))
+		case float64(e.AllocsPerOp) > float64(want)*(1+allocTolerance):
+			fails = append(fails, fmt.Sprintf("%s: %d allocs/op, committed %d", e.Name, e.AllocsPerOp, want))
+		}
+	}
+	if len(fails) > 0 {
+		return gated, errors.New(strings.Join(fails, "; "))
+	}
+	return gated, nil
+}
+
+// revision returns the git revision the binary was built from, or ""
+// when the build carries no VCS stamp.
+func revision() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	rev, dirty := "", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev != "" && dirty {
+		rev += "+modified"
+	}
+	return rev
 }
 
 // traceName is the report name of one TraceQFT mode.

@@ -162,20 +162,20 @@ func (n *Network) Latency(hops int) time.Duration {
 	return time.Duration(hops*n.hopCells) * n.params.Times.ClassicalBitPerCell
 }
 
-// RecordTeleport accounts for the two classical bits plus ID packet
-// update a teleportation sends between adjacent nodes.
-func (n *Network) RecordTeleport() {
-	n.messages++
-	n.teleportMsgs++
-	n.bits += 2
+// RecordTeleports accounts for count teleportations, each sending two
+// classical bits plus an ID packet update between adjacent nodes.
+func (n *Network) RecordTeleports(count int) {
+	n.messages += uint64(count)
+	n.teleportMsgs += uint64(count)
+	n.bits += 2 * uint64(count)
 }
 
-// RecordPurify accounts for the one classical bit each endpoint exchanges
-// per purification (two bits total on the network).
-func (n *Network) RecordPurify() {
-	n.messages++
-	n.purifyMsgs++
-	n.bits += 2
+// RecordPurifies accounts for count purifications, in each of which
+// both endpoints exchange one classical bit (two bits on the network).
+func (n *Network) RecordPurifies(count int) {
+	n.messages += uint64(count)
+	n.purifyMsgs += uint64(count)
+	n.bits += 2 * uint64(count)
 }
 
 // Stats returns cumulative counters: total messages, total payload bits,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mesh"
 	"repro/internal/route"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -43,7 +44,6 @@ func (s *simulator) channel(src, dst mesh.Coord, done func()) {
 		return
 	}
 	s.channels++
-	start := s.engine.Now()
 
 	// The routing policy decides the hop path at setup time; adaptive
 	// policies see the routers' live loads through the loads adapter.
@@ -81,13 +81,11 @@ func (s *simulator) channel(src, dst mesh.Coord, done func()) {
 	}
 
 	ch := &channelRun{
-		sim: s,
-		src: src,
-		dst: dst,
-		done: func() {
-			s.latencies.Add(float64(s.engine.Now() - start))
-			done()
-		},
+		sim:   s,
+		src:   src,
+		dst:   dst,
+		start: s.engine.Now(),
+		done:  done,
 	}
 	ch.base = batchFlight{ch: ch, dirs: dirs, tiles: tiles}
 	if s.faults != nil {
@@ -133,6 +131,7 @@ type channelRun struct {
 	// fly a fresher path (see resend).
 	base    batchFlight
 	outputs int
+	start   time.Duration // setup time, for the channel latency tally
 	done    func()
 	// attempts counts batch transmissions (initial sends plus drop and
 	// purification resends); budget caps them on a faulty mesh (0 = no
@@ -154,14 +153,59 @@ type batchFlight struct {
 	tiles []mesh.Coord
 }
 
+// batch is the record of one in-flight batch: where it is on its
+// flight and what it holds.  Each pipeline stage is a package-level
+// continuation that receives the record as its argument — the call
+// form of sim.Semaphore.Acquire, sim.Resource.Serve and
+// sim.Engine.ScheduleCall — so moving a batch through a hop captures
+// no closure.  A record lives from the batch's send to its purified
+// output, drop or purification failure, then returns to the
+// simulator's free list (a replacement batch takes a fresh record).
+type batch struct {
+	f *batchFlight
+	// hop indexes the link being crossed, f.tiles[hop] -> f.tiles[hop+1].
+	hop int
+	// link is that link's canonical mesh.Grid.LinkIndex.
+	link int
+	// store is the storage semaphore at f.tiles[hop+1] the batch holds
+	// (or waits for) a credit of; after the last hop it is the arrival
+	// storage, released as the batch drains into the purifiers.
+	store *sim.Semaphore
+	// lo and hi are the endpoint tiles' purifier indices, in the
+	// canonical order they are acquired in.
+	lo, hi int
+	next   *batch // free-list link
+}
+
+// newBatch takes a record off the free list (or mints one) for a batch
+// about to fly f from its first hop.
+func (s *simulator) newBatch(f *batchFlight) *batch {
+	b := s.freeBatches
+	if b != nil {
+		s.freeBatches = b.next
+		b.next = nil
+	} else {
+		b = new(batch)
+	}
+	b.f = f
+	return b
+}
+
+// freeBatch returns a finished batch's record to the free list.
+func (s *simulator) freeBatch(b *batch) {
+	*b = batch{next: s.freeBatches}
+	s.freeBatches = b
+}
+
 func (ch *channelRun) startBatch() {
-	if ch.sim.err != nil {
+	s := ch.sim
+	if s.err != nil {
 		return
 	}
 	if !ch.admit() {
 		return
 	}
-	ch.base.hop(0)
+	s.hop(s.newBatch(&ch.base))
 }
 
 // admit counts one batch transmission against the resend budget,
@@ -209,7 +253,7 @@ func (ch *channelRun) resend() {
 		li := s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(f.tiles[0], f.dirs[0]))
 		t.RecordResend(s.engine.Now(), li)
 	}
-	f.hop(0)
+	s.hop(s.newBatch(f))
 }
 
 // reroute resolves a fresh path for a replacement batch under the live
@@ -229,62 +273,76 @@ func (ch *channelRun) reroute() *batchFlight {
 	return &batchFlight{ch: ch, dirs: dirs, tiles: tiles}
 }
 
-// hop advances a batch from tiles[i] to tiles[i+1].
-func (f *batchFlight) hop(i int) {
+// hop starts the batch across the link from f.tiles[b.hop] to
+// f.tiles[b.hop+1] by taking a storage credit at the receiving T' node,
+// where traffic arrives from the opposite direction of travel.
+func (s *simulator) hop(b *batch) {
+	f := b.f
+	b.store = s.nodes[s.cfg.Grid.Index(f.tiles[b.hop+1])].Storage(f.dirs[b.hop].Opposite())
+	b.store.Acquire(batchStored, b)
+}
+
+// batchStored runs once the batch holds storage at the next tile: it
+// takes link pairs from the G node of the crossed link, a dense-slice
+// lookup via the canonical link index.
+func batchStored(a any) {
+	b := a.(*batch)
+	s := b.f.ch.sim
+	b.link = s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(b.f.tiles[b.hop], b.f.dirs[b.hop]))
+	s.gnodes[b.link].Serve(s.genLat, batchGenerated, b)
+}
+
+// batchGenerated runs once the link pairs exist: the batch takes the
+// teleporter set of the sending node's travel axis, plus a turn penalty
+// when the route changes axis at this node.
+func batchGenerated(a any) {
+	b := a.(*batch)
+	f := b.f
+	s := f.ch.sim
+	dir := f.dirs[b.hop]
+	node := s.nodes[s.cfg.Grid.Index(f.tiles[b.hop])]
+	latency := s.teleportLat
+	if b.hop > 0 && f.dirs[b.hop-1].Axis() != dir.Axis() {
+		latency += node.TurnPenalty()
+		s.turns++
+	}
+	node.TeleporterSet(dir.Axis()).Serve(latency, batchTeleported, b)
+}
+
+// batchTeleported runs once the batch has crossed the link: it frees
+// the storage slot it held at the tile it left, then is either dropped
+// by the fault model or flies on (next hop, or the endpoint stages).
+func batchTeleported(a any) {
+	b := a.(*batch)
+	f := b.f
 	ch := f.ch
 	s := ch.sim
-	from := f.tiles[i]
-	to := f.tiles[i+1]
-	dir := f.dirs[i]
-
-	// Storage at the receiving T' node: traffic arrives from the
-	// opposite direction of travel.
-	store := s.nodes[s.cfg.Grid.Index(to)].Storage(dir.Opposite())
-	store.Acquire(func() {
-		// Link pairs from the G node of the crossed link: a dense-slice
-		// lookup via the canonical link index, no map hashing.
-		li := s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(from, dir))
-		g := s.gnodes[li]
-		g.Serve(s.genLatency(), func() {
-			// Teleporter from the sending node's directional set, plus a
-			// turn penalty when the route changes axis at this node.
-			node := s.nodes[s.cfg.Grid.Index(from)]
-			latency := s.teleportLatency()
-			if i > 0 && f.dirs[i-1].Axis() != dir.Axis() {
-				latency += node.TurnPenalty()
-				s.turns++
-			}
-			node.TeleporterSet(dir.Axis()).Serve(latency, func() {
-				s.pairHops += uint64(s.cfg.batchPairs())
-				for k := 0; k < s.cfg.batchPairs(); k++ {
-					s.net.RecordTeleport()
-				}
-				// The batch now occupies storage at `to`; it frees its
-				// slot at the previous tile (held since the prior hop).
-				if i > 0 {
-					prev := s.nodes[s.cfg.Grid.Index(from)].Storage(f.dirs[i-1].Opposite())
-					prev.Release()
-				}
-				if ch.droppedOn(li) {
-					// The fault model dropped the batch on this link: it
-					// frees the slot it just occupied and a replacement
-					// is sent from the channel source (budget permitting).
-					store.Release()
-					s.droppedBatches++
-					if t := s.cfg.Trace; t != nil {
-						t.RecordDrop(s.engine.Now(), li)
-					}
-					ch.resend()
-					return
-				}
-				if i+1 < len(f.dirs) {
-					f.hop(i + 1)
-				} else {
-					f.arrive()
-				}
-			})
-		})
-	})
+	s.pairHops += uint64(s.batchPairs)
+	s.net.RecordTeleports(s.batchPairs)
+	// The batch now occupies storage at the next tile; it frees its
+	// slot at the previous tile (held since the prior hop).
+	if b.hop > 0 {
+		s.nodes[s.cfg.Grid.Index(f.tiles[b.hop])].Storage(f.dirs[b.hop-1].Opposite()).Release()
+	}
+	if ch.droppedOn(b.link) {
+		// The fault model dropped the batch on this link: it frees the
+		// slot it just occupied and a replacement is sent from the
+		// channel source (budget permitting).
+		b.store.Release()
+		s.droppedBatches++
+		if t := s.cfg.Trace; t != nil {
+			t.RecordDrop(s.engine.Now(), b.link)
+		}
+		s.freeBatch(b)
+		ch.resend()
+		return
+	}
+	b.hop++
+	if b.hop < len(f.dirs) {
+		s.hop(b)
+	} else {
+		s.arrive(b)
+	}
 }
 
 // droppedOn draws the fault model's Bernoulli for a batch crossing the
@@ -301,52 +359,62 @@ func (ch *channelRun) droppedOn(li int) bool {
 	return rate > 0 && s.rng.Float64() < rate
 }
 
-// arrive runs the endpoint stages for one batch: correction, then
-// synchronized queue purification at both endpoint P nodes.
-func (f *batchFlight) arrive() {
-	ch := f.ch
-	s := ch.sim
-	last := len(f.tiles) - 1
-	dstIdx := s.cfg.Grid.Index(f.tiles[last])
-	srcIdx := s.cfg.Grid.Index(f.tiles[0])
+// arrive runs the endpoint stages for one batch: correction — the
+// accumulated Pauli frame costs at most two single-qubit gates, applied
+// to each pair of the batch in parallel — then synchronized queue
+// purification at both endpoint P nodes.
+func (s *simulator) arrive(b *batch) {
+	f := b.f
+	b.lo = s.cfg.Grid.Index(f.tiles[0])
+	b.hi = s.cfg.Grid.Index(f.tiles[len(f.tiles)-1])
+	if b.lo > b.hi {
+		b.lo, b.hi = b.hi, b.lo
+	}
+	s.engine.ScheduleCall(s.correctLat, batchCorrected, b)
+}
 
-	// Corrector: the accumulated Pauli frame costs at most two
-	// single-qubit gates, applied to each pair of the batch in parallel.
-	correct := 2 * s.cfg.Params.Times.OneQubitGate
-	s.engine.Schedule(correct, func() {
-		// Queue purification holds one purifier unit at each endpoint,
-		// acquired in canonical index order to prevent circular wait.
-		lo, hi := srcIdx, dstIdx
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		s.purify[lo].Acquire(func() {
-			s.purify[hi].Acquire(func() {
-				// Purify: free the arrival storage slot as the batch
-				// drains into the purifier.
-				storeDir := f.dirs[len(f.dirs)-1].Opposite()
-				s.nodes[dstIdx].Storage(storeDir).Release()
-				latency := s.purifyBatchLatency(len(f.dirs))
-				rounds := s.cfg.batchPairs() - 1 // tree of 2^d leaves has 2^d - 1 purifications
-				for k := 0; k < rounds; k++ {
-					s.net.RecordPurify()
-				}
-				s.engine.Schedule(latency, func() {
-					s.purify[hi].Release()
-					s.purify[lo].Release()
-					if s.cfg.PurifyFailureRate > 0 && s.rng.Float64() < s.cfg.PurifyFailureRate {
-						// The subtree is lost; send a replacement batch
-						// through the network (Figure 14's natural
-						// rebuild).
-						s.failedBatches++
-						ch.resend()
-						return
-					}
-					ch.output()
-				})
-			})
-		})
-	})
+// batchCorrected starts queue purification, which holds one purifier
+// unit at each endpoint, acquired in canonical index order to prevent
+// circular wait.
+func batchCorrected(a any) {
+	b := a.(*batch)
+	b.f.ch.sim.purify[b.lo].Acquire(batchPurifierLo, b)
+}
+
+// batchPurifierLo runs with the lower-index endpoint's purifier held
+// and queues for the other one.
+func batchPurifierLo(a any) {
+	b := a.(*batch)
+	b.f.ch.sim.purify[b.hi].Acquire(batchPurifierHi, b)
+}
+
+// batchPurifierHi runs with both purifiers held: the batch drains into
+// them, freeing its arrival storage slot, and purifies.
+func batchPurifierHi(a any) {
+	b := a.(*batch)
+	s := b.f.ch.sim
+	b.store.Release()
+	s.net.RecordPurifies(s.batchPairs - 1) // a tree of 2^d leaves has 2^d - 1 purifications
+	s.engine.ScheduleCall(s.purifyLatency(len(b.f.dirs)), batchPurified, b)
+}
+
+// batchPurified ends the batch: both purifiers are released, and the
+// batch either yields its channel's purified pair or — on an injected
+// failure — is lost, and a replacement batch is sent through the
+// network (Figure 14's natural rebuild).
+func batchPurified(a any) {
+	b := a.(*batch)
+	ch := b.f.ch
+	s := ch.sim
+	s.purify[b.hi].Release()
+	s.purify[b.lo].Release()
+	s.freeBatch(b)
+	if s.cfg.PurifyFailureRate > 0 && s.rng.Float64() < s.cfg.PurifyFailureRate {
+		s.failedBatches++
+		ch.resend()
+		return
+	}
+	ch.output()
 }
 
 // output counts a purified pair; when all batches have produced theirs,
@@ -365,17 +433,28 @@ func (ch *channelRun) output() {
 	// paths of the same length).
 	latency := s.cfg.Params.TeleportTime(len(ch.base.dirs)*s.cfg.HopCells) +
 		s.net.Latency(len(ch.base.dirs))
-	s.engine.Schedule(latency, ch.done)
+	s.engine.ScheduleCall(latency, channelDelivered, ch)
 }
 
-// genLatency is the G-node service time for one batch of link pairs.
+// channelDelivered tallies the channel's setup-to-delivery latency and
+// runs its continuation.
+func channelDelivered(a any) {
+	ch := a.(*channelRun)
+	s := ch.sim
+	s.latencies.Add(float64(s.engine.Now() - ch.start))
+	ch.done()
+}
+
+// genLatency is the G-node service time for one batch of link pairs
+// (build keeps it in s.genLat).
 func (s *simulator) genLatency() time.Duration {
 	return s.cfg.Params.GenerateTime() * time.Duration(ceilDiv(s.cfg.batchPairs(), s.cfg.Generators))
 }
 
 // teleportLatency is the teleporter-set service time for one batch: the
 // set's units work in parallel, so a batch needs ceil(batch/setSize)
-// rounds of the hop-local teleport time.
+// rounds of the hop-local teleport time (build keeps it in
+// s.teleportLat).
 func (s *simulator) teleportLatency() time.Duration {
 	setSize := s.cfg.Teleporters / 2
 	if setSize < 1 {
@@ -397,6 +476,16 @@ func (s *simulator) purifyBatchLatency(hops int) time.Duration {
 	return per * time.Duration(rounds)
 }
 
+// purifyLatency is purifyBatchLatency memoized per hop count.  build
+// fills the table for every minimal path length; a longer detour (a
+// fault-adaptive route around dead links) extends it on first use.
+func (s *simulator) purifyLatency(hops int) time.Duration {
+	for len(s.purifyLat) <= hops {
+		s.purifyLat = append(s.purifyLat, s.purifyBatchLatency(len(s.purifyLat)))
+	}
+	return s.purifyLat[hops]
+}
+
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // result assembles the Result from the simulator's counters.
@@ -406,7 +495,7 @@ func (s *simulator) result(prog workload.Program) Result {
 		Ops:            len(prog.Ops),
 		Channels:       s.channels,
 		LocalOps:       s.localOps,
-		PairsDelivered: s.channels * uint64(s.numBatches*s.cfg.batchPairs()),
+		PairsDelivered: s.channels * uint64(s.numBatches*s.batchPairs),
 		PairHops:       s.pairHops,
 		Turns:          s.turns,
 		Events:         s.engine.Processed(),

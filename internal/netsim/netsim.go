@@ -269,6 +269,19 @@ type simulator struct {
 	numBatches int
 	code       ecc.Code
 
+	// Per-run constants of the batch pipeline, computed once in build:
+	// pairs per batch, the generator, teleporter and corrector service
+	// times, and the purification makespan indexed by hop count (see
+	// purifyLatency).
+	batchPairs  int
+	genLat      time.Duration
+	teleportLat time.Duration
+	correctLat  time.Duration
+	purifyLat   []time.Duration
+
+	// freeBatches recycles in-flight batch records (see batch).
+	freeBatches *batch
+
 	channels       uint64
 	localOps       uint64
 	pairHops       uint64
@@ -369,6 +382,11 @@ func (s *simulator) build(prog workload.Program) error {
 	}
 	s.code = code
 	s.numBatches = code.PairsPerLogicalTeleport()
+	s.batchPairs = cfg.batchPairs()
+	s.genLat = s.genLatency()
+	s.teleportLat = s.teleportLatency()
+	s.correctLat = 2 * cfg.Params.Times.OneQubitGate
+	s.purifyLatency(cfg.Grid.Width + cfg.Grid.Height - 2) // every minimal path length
 
 	switch cfg.Layout {
 	case HomeBase:
@@ -384,7 +402,7 @@ func (s *simulator) build(prog workload.Program) error {
 
 	// Storage is t cells per incoming link; we traffic in batches of
 	// batchPairs pairs.
-	storageBatches := cfg.Teleporters / cfg.batchPairs()
+	storageBatches := cfg.Teleporters / s.batchPairs
 	if storageBatches < 1 {
 		storageBatches = 1
 	}

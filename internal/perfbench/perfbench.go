@@ -40,6 +40,9 @@ const schedulePending = 1024
 // events, so both the heap push and the pop path are on the clock.
 func EngineSchedule(b *testing.B) {
 	e := sim.New()
+	// The backlog plus the one in-flight event fits without growing, so
+	// the timed loop measures steady-state churn even at -benchtime 1x.
+	e.Reserve(schedulePending + 1)
 	fn := func() {}
 	for i := 0; i < schedulePending; i++ {
 		e.Schedule(time.Duration(i+1)*time.Microsecond, fn)
@@ -96,6 +99,45 @@ func EngineCancel(pending int) func(*testing.B) {
 		}
 	}
 }
+
+// SemaphoreQueueWaiters is the backlog SemaphoreQueue holds: a channel
+// sends all 49 batches of a level-2 logical qubit at once, and with the
+// paper's resources a link's storage admits two of them, so the rest
+// queue on that one semaphore.
+const SemaphoreQueueWaiters = 49
+
+// SemaphoreQueue returns a benchmark measuring one grant from a
+// semaphore wait queue holding `waiters` continuations: each iteration
+// releases a credit (granting the oldest waiter) and queues a new
+// waiter, so the backlog stays constant.  With an O(1) queue the cost
+// is flat in the backlog and nothing is allocated; a queue that shifts
+// its slice on every grant pays O(waiters).
+func SemaphoreQueue(waiters int) func(*testing.B) {
+	return func(b *testing.B) {
+		const credits = 2
+		s, err := sim.NewSemaphore("storage", credits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < credits+waiters; i++ {
+			s.Acquire(holdCredit, nil)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Release()
+			s.Acquire(holdCredit, nil)
+		}
+		b.StopTimer()
+		if s.Waiting() != waiters {
+			b.Fatalf("backlog %d, want %d", s.Waiting(), waiters)
+		}
+	}
+}
+
+// holdCredit is the continuation of a SemaphoreQueue waiter: it keeps
+// the credit it was granted.
+func holdCredit(any) {}
 
 // QFTRun returns a benchmark running the full event-driven simulator —
 // a QFT over every tile of a benchGrid x benchGrid mesh with the

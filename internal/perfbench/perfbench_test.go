@@ -16,6 +16,10 @@ func BenchmarkEngineCancel(b *testing.B) {
 	}
 }
 
+func BenchmarkSemaphoreQueue(b *testing.B) {
+	b.Run(fmt.Sprintf("waiters=%d", SemaphoreQueueWaiters), SemaphoreQueue(SemaphoreQueueWaiters))
+}
+
 func BenchmarkQFT(b *testing.B) {
 	for _, cfg := range FullRunConfigs() {
 		b.Run(cfg.Name, QFTRun(cfg.Layout, cfg.Policy))
@@ -63,5 +67,26 @@ func TestEngineStepZeroAllocWithoutProbe(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("schedule+step with no probe: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestSemaphoreQueueZeroAlloc pins the wait queue's steady state: with
+// a constant backlog, a grant plus a re-queue allocates nothing — the
+// continuation is queued in call form and the queue reuses its backing
+// array instead of growing it.
+func TestSemaphoreQueueZeroAlloc(t *testing.T) {
+	s, err := sim.NewSemaphore("storage", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2+SemaphoreQueueWaiters; i++ {
+		s.Acquire(holdCredit, nil)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Release()
+		s.Acquire(holdCredit, nil)
+	})
+	if allocs != 0 {
+		t.Errorf("semaphore grant+requeue at %d waiters: %.1f allocs/op, want 0", SemaphoreQueueWaiters, allocs)
 	}
 }

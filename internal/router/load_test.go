@@ -8,6 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
+// noop is a continuation that only holds the unit or credit it was
+// granted.
+func noop(any) {}
+
 // loadNode builds a 4-teleporter node with 2 storage units per incoming
 // link for the load-accounting tests.
 func loadNode(t *testing.T) *Node {
@@ -54,7 +58,7 @@ func TestAxisLoadAccountsServiceAndQueue(t *testing.T) {
 	// Occupy both, then queue a third job.
 	x := n.TeleporterSet(0)
 	for i := 0; i < 3; i++ {
-		x.Acquire(func() {})
+		x.Acquire(noop, nil)
 	}
 	if got := n.AxisLoad(0); got != 1.5 {
 		t.Errorf("AxisLoad(0) = %v, want 1.5 (2 busy + 1 queued over capacity 2)", got)
@@ -73,12 +77,12 @@ func TestStorageLoadAccountsCreditsAndWaiters(t *testing.T) {
 	if got := n.StorageLoad(mesh.East); got != 0 {
 		t.Fatalf("empty storage load %v", got)
 	}
-	s.Acquire(func() {})
+	s.Acquire(noop, nil)
 	if got := n.StorageLoad(mesh.East); got != 0.5 {
 		t.Errorf("half-full storage load %v, want 0.5", got)
 	}
-	s.Acquire(func() {})
-	s.Acquire(func() {}) // queued: no credits left
+	s.Acquire(noop, nil)
+	s.Acquire(noop, nil) // queued: no credits left
 	if got := n.StorageLoad(mesh.East); got != 1.5 {
 		t.Errorf("overloaded storage load %v, want 1.5", got)
 	}
@@ -120,8 +124,8 @@ func TestLoadsExceedOneUnderBacklog(t *testing.T) {
 		x := n.TeleporterSet(0)
 		s := n.Storage(mesh.East)
 		for i := 0; i < c.acquires; i++ {
-			x.Acquire(func() {})
-			s.Acquire(func() {})
+			x.Acquire(noop, nil)
+			s.Acquire(noop, nil)
 		}
 		if got := n.AxisLoad(0); got != c.want {
 			t.Errorf("%d acquires: AxisLoad(0) = %v, want %v", c.acquires, got, c.want)
@@ -144,11 +148,11 @@ func TestOccupancyAggregatesLoadCounters(t *testing.T) {
 	// 3 jobs on the X set (2 busy + 1 queued), 1 on the Y set, and 5
 	// storage acquires on East (2 credits + 3 waiters): 9 batches total.
 	for i := 0; i < 3; i++ {
-		n.TeleporterSet(0).Acquire(func() {})
+		n.TeleporterSet(0).Acquire(noop, nil)
 	}
-	n.TeleporterSet(1).Acquire(func() {})
+	n.TeleporterSet(1).Acquire(noop, nil)
 	for i := 0; i < 5; i++ {
-		n.Storage(mesh.East).Acquire(func() {})
+		n.Storage(mesh.East).Acquire(noop, nil)
 	}
 	if got := n.Occupancy(); got != 9 {
 		t.Errorf("occupancy %d, want 9", got)

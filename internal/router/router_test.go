@@ -106,7 +106,7 @@ func TestUtilizationAveragesSets(t *testing.T) {
 	e := sim.New()
 	n, _ := New(e, mesh.Coord{}, allDirs(), cfg())
 	// Occupy one X teleporter for the whole sim: X util 0.5 (1 of 2), Y 0.
-	n.TeleporterSet(0).Serve(10*time.Microsecond, nil)
+	n.TeleporterSet(0).Serve(10*time.Microsecond, nil, nil)
 	e.Run(0)
 	got := n.Utilization()
 	if got < 0.24 || got > 0.26 {

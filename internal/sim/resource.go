@@ -10,16 +10,19 @@ import (
 // unit — teleporters in a T' node set, generators in a G node, queue
 // purifiers in a P node.
 //
-// Acquire enqueues a job; when a unit is free the job callback runs (at
-// the engine's current time).  The callback must eventually call Release
-// exactly once (typically after scheduling the service latency).
+// Acquire enqueues a job; when a unit is free the job's continuation
+// runs (at the engine's current time).  The continuation must eventually
+// call Release exactly once (typically after scheduling the service
+// latency).  Continuations take the call form fn(arg) of
+// Engine.ScheduleCall, so queueing one captures no closure, and the
+// FIFO wait queue grants its oldest job in O(1).
 type Resource struct {
 	name     string
 	nameFn   func() string
 	engine   *Engine
 	capacity int
 	inUse    int
-	waiting  []waiter
+	waiting  waitQueue
 
 	// freeJobs recycles the per-Serve bookkeeping records, so the
 	// acquire-serve-release pattern allocates nothing in steady state.
@@ -32,22 +35,16 @@ type Resource struct {
 	lastChange time.Duration
 }
 
-// waiter is one queued acquirer: either a plain Acquire callback or a
-// Serve job record.  Exactly one field is set.
-type waiter struct {
-	fn  func()
-	job *serveJob
-}
-
 // serveJob is the reusable record of one Serve call: the service
-// latency to hold the unit for and the completion callback.  Records
-// cycle through the owning resource's free list, and the scheduled
-// completion event carries the record as its argument, so a Serve
-// performs no per-call allocation.
+// latency to hold the unit for and the completion continuation.
+// Records cycle through the owning resource's free list, and both the
+// queued grant and the scheduled completion event carry the record as
+// their argument, so a Serve performs no per-call allocation.
 type serveJob struct {
 	r       *Resource
 	latency time.Duration
-	done    func()
+	done    func(any)
+	arg     any
 	next    *serveJob // free-list link
 }
 
@@ -96,20 +93,20 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of jobs waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.waiting) }
+func (r *Resource) QueueLen() int { return r.waiting.len() }
 
-// Acquire requests a unit and runs job once one is available.  If a unit
-// is free now, job runs synchronously.
-func (r *Resource) Acquire(job func()) {
-	if job == nil {
+// Acquire requests a unit and runs fn(arg) once one is available.  If a
+// unit is free now, fn runs synchronously.
+func (r *Resource) Acquire(fn func(any), arg any) {
+	if fn == nil {
 		panic(fmt.Sprintf("sim: resource %q: nil job", r.Name()))
 	}
 	if r.inUse < r.capacity {
 		r.grab()
-		job()
+		fn(arg)
 		return
 	}
-	r.enqueue(waiter{fn: job})
+	r.enqueue(call{fn, arg})
 }
 
 // Release frees a unit, immediately handing it to the oldest waiting job
@@ -120,47 +117,41 @@ func (r *Resource) Release() {
 	}
 	r.accountBusy()
 	r.inUse--
-	if len(r.waiting) == 0 {
+	if r.waiting.len() == 0 {
 		return
 	}
-	w := r.waiting[0]
-	copy(r.waiting, r.waiting[1:])
-	r.waiting[len(r.waiting)-1] = waiter{}
-	r.waiting = r.waiting[:len(r.waiting)-1]
+	c := r.waiting.pop()
 	r.grab()
-	if w.fn != nil {
-		w.fn()
-	} else {
-		w.job.start()
-	}
+	c.fn(c.arg)
 }
 
 // Serve is the common acquire-serve-release pattern: wait for a unit,
-// hold it for latency of simulated time, then run done (may be nil).
-// Unlike hand-rolling Acquire+Schedule+Release, Serve allocates nothing
-// in steady state: its bookkeeping record is recycled through a free
-// list and the completion event captures no closure.
-func (r *Resource) Serve(latency time.Duration, done func()) {
-	j := r.newJob(latency, done)
+// hold it for latency of simulated time, then run done(arg) (done may
+// be nil).  Unlike hand-rolling Acquire+Schedule+Release, Serve
+// allocates nothing in steady state: its bookkeeping record is recycled
+// through a free list, and with done a package-level function neither
+// the queued grant nor the completion event captures a closure.
+func (r *Resource) Serve(latency time.Duration, done func(any), arg any) {
+	j := r.newJob(latency, done, arg)
 	if r.inUse < r.capacity {
 		r.grab()
 		j.start()
 		return
 	}
-	r.enqueue(waiter{job: j})
+	r.enqueue(call{serveGranted, j})
 }
 
 // enqueue appends a waiter and tracks the queue high-water mark.
-func (r *Resource) enqueue(w waiter) {
-	r.waiting = append(r.waiting, w)
-	if len(r.waiting) > r.maxQueue {
-		r.maxQueue = len(r.waiting)
+func (r *Resource) enqueue(c call) {
+	r.waiting.push(c)
+	if n := r.waiting.len(); n > r.maxQueue {
+		r.maxQueue = n
 	}
 }
 
 // newJob takes a serve record off the free list (or mints one) and
 // fills it for this call.
-func (r *Resource) newJob(latency time.Duration, done func()) *serveJob {
+func (r *Resource) newJob(latency time.Duration, done func(any), arg any) *serveJob {
 	j := r.freeJobs
 	if j != nil {
 		r.freeJobs = j.next
@@ -168,7 +159,7 @@ func (r *Resource) newJob(latency time.Duration, done func()) *serveJob {
 	} else {
 		j = &serveJob{r: r}
 	}
-	j.latency, j.done = latency, done
+	j.latency, j.done, j.arg = latency, done, arg
 	return j
 }
 
@@ -178,18 +169,22 @@ func (j *serveJob) start() {
 	j.r.engine.ScheduleCall(j.latency, serveComplete, j)
 }
 
+// serveGranted is the queued continuation of a Serve that had to wait:
+// Release has granted it a unit, so its service starts now.
+func serveGranted(a any) { a.(*serveJob).start() }
+
 // serveComplete is the completion event of a Serve: release the unit,
 // then run the caller's continuation.  It is a package-level function so
 // scheduling it captures no closure.
 func serveComplete(a any) {
 	j := a.(*serveJob)
-	r, done := j.r, j.done
-	j.done = nil
+	r, done, arg := j.r, j.done, j.arg
+	j.done, j.arg = nil, nil
 	j.next = r.freeJobs
 	r.freeJobs = j
 	r.Release()
 	if done != nil {
-		done()
+		done(arg)
 	}
 }
 

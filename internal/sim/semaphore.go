@@ -6,12 +6,15 @@ import "fmt"
 // credit-based flow control (e.g. the per-link incoming storage cells of
 // a T' node).  Unlike Resource it has no notion of service time: callers
 // take and return credits explicitly.
+//
+// Waiters are continuations in call form, fn(arg), queued without a
+// closure; granting the oldest one is O(1) however long the queue is.
 type Semaphore struct {
 	name    string
 	nameFn  func() string
 	credits int
 	limit   int
-	waiting []func()
+	waiting waitQueue
 	maxWait int
 }
 
@@ -53,25 +56,26 @@ func (s *Semaphore) Limit() int { return s.limit }
 func (s *Semaphore) Available() int { return s.credits }
 
 // Waiting returns the number of queued acquirers.
-func (s *Semaphore) Waiting() int { return len(s.waiting) }
+func (s *Semaphore) Waiting() int { return s.waiting.len() }
 
 // MaxWaiting returns the largest observed waiter queue.
 func (s *Semaphore) MaxWaiting() int { return s.maxWait }
 
-// Acquire takes one credit, running fn immediately if a credit is free,
-// otherwise queueing fn until Release provides one.
-func (s *Semaphore) Acquire(fn func()) {
+// Acquire takes one credit, running fn(arg) immediately if a credit is
+// free, otherwise queueing it until Release provides one.  With fn a
+// package-level function, acquiring allocates nothing.
+func (s *Semaphore) Acquire(fn func(any), arg any) {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: semaphore %q: nil acquire function", s.Name()))
 	}
 	if s.credits > 0 {
 		s.credits--
-		fn()
+		fn(arg)
 		return
 	}
-	s.waiting = append(s.waiting, fn)
-	if len(s.waiting) > s.maxWait {
-		s.maxWait = len(s.waiting)
+	s.waiting.push(call{fn, arg})
+	if n := s.waiting.len(); n > s.maxWait {
+		s.maxWait = n
 	}
 }
 
@@ -86,12 +90,9 @@ func (s *Semaphore) TryAcquire() bool {
 
 // Release returns one credit, handing it to the oldest waiter if any.
 func (s *Semaphore) Release() {
-	if len(s.waiting) > 0 {
-		fn := s.waiting[0]
-		copy(s.waiting, s.waiting[1:])
-		s.waiting[len(s.waiting)-1] = nil
-		s.waiting = s.waiting[:len(s.waiting)-1]
-		fn()
+	if s.waiting.len() > 0 {
+		c := s.waiting.pop()
+		c.fn(c.arg)
 		return
 	}
 	if s.credits >= s.limit {

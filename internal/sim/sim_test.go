@@ -197,7 +197,7 @@ func TestResourceServesUpToCapacity(t *testing.T) {
 	}
 	var done []time.Duration
 	for i := 0; i < 4; i++ {
-		r.Serve(10*time.Microsecond, func() { done = append(done, e.Now()) })
+		r.Serve(10*time.Microsecond, func(any) { done = append(done, e.Now()) }, nil)
 	}
 	e.Run(0)
 	want := []time.Duration{10 * time.Microsecond, 10 * time.Microsecond, 20 * time.Microsecond, 20 * time.Microsecond}
@@ -216,12 +216,41 @@ func TestResourceFIFO(t *testing.T) {
 	r, _ := NewResource(e, "gen", 1)
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		r.Serve(time.Microsecond, func() { order = append(order, i) })
+		r.Serve(time.Microsecond, func(a any) { order = append(order, a.(int)) }, i)
 	}
 	e.Run(0)
 	if !sort.IntsAreSorted(order) {
 		t.Errorf("jobs completed out of FIFO order: %v", order)
+	}
+}
+
+// TestResourceAcquireCallForm checks the call-form Acquire: a free unit
+// runs the continuation synchronously with its argument, a busy
+// resource queues continuations and grants them in FIFO order on
+// Release, and the queue high-water mark is recorded.
+func TestResourceAcquireCallForm(t *testing.T) {
+	e := New()
+	r, _ := NewResource(e, "purifier", 1)
+	var order []int
+	record := func(a any) { order = append(order, a.(int)) }
+	for i := 0; i < 4; i++ {
+		r.Acquire(record, i)
+	}
+	if len(order) != 1 || r.QueueLen() != 3 {
+		t.Fatalf("order=%v queue=%d, want one grant and 3 queued", order, r.QueueLen())
+	}
+	for i := 0; i < 3; i++ {
+		r.Release()
+	}
+	if !sort.IntsAreSorted(order) || len(order) != 4 {
+		t.Errorf("grants %v, want 0..3 in order", order)
+	}
+	if _, maxQ, _ := r.Stats(); maxQ != 3 {
+		t.Errorf("max queue = %d, want 3", maxQ)
+	}
+	r.Release()
+	if r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Errorf("in use %d, queued %d after releasing every grant", r.InUse(), r.QueueLen())
 	}
 }
 
@@ -240,7 +269,7 @@ func TestResourceStatsAndUtilization(t *testing.T) {
 	e := New()
 	r, _ := NewResource(e, "x", 2)
 	for i := 0; i < 4; i++ {
-		r.Serve(10*time.Microsecond, nil)
+		r.Serve(10*time.Microsecond, nil, nil)
 	}
 	e.Run(0)
 	acquired, maxQ, busy := r.Stats()
@@ -280,7 +309,7 @@ func TestResourceThroughputProperty(t *testing.T) {
 		}
 		var last time.Duration
 		for i := 0; i < n; i++ {
-			r.Serve(time.Microsecond, func() { last = e.Now() })
+			r.Serve(time.Microsecond, func(any) { last = e.Now() }, nil)
 		}
 		e.Run(0)
 		batches := (n + c - 1) / c
