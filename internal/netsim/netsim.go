@@ -505,12 +505,14 @@ func (s *simulator) build(prog workload.Program) error {
 	}
 
 	// Pre-size the event queue for the expected in-flight batch volume:
-	// every concurrently open channel keeps roughly one scheduled event
-	// per batch in flight (batches waiting on a resource sit in that
-	// resource's queue, not the engine heap), and the number of open
-	// channels is bounded by the qubits that can be mid-operation at
-	// once.  One Reserve here replaces the heap/arena's early doubling
-	// reallocations with a single allocation.
+	// a batch in service is one scheduled event carrying its batch
+	// record, so every concurrently open channel keeps at most one event
+	// per batch (a batch waiting on a semaphore or resource sits in that
+	// queue as its continuation and record, not in the engine heap),
+	// and the number of open channels is bounded by the qubits that can
+	// be mid-operation at once.  One Reserve here replaces the
+	// heap/arena's early doubling reallocations with a single
+	// allocation.
 	s.engine.Reserve(prog.Qubits*s.numBatches + 64)
 	return nil
 }

@@ -1,7 +1,8 @@
 // Package perfbench is the repository's performance measurement layer:
 // reusable benchmark bodies covering the discrete-event engine's hot
-// operations (scheduling, cancellation), a full 5x5 QFT simulation per
-// layout and routing policy, and the concurrent sweep engine.
+// operations (scheduling, cancellation, a semaphore wait-queue grant),
+// a full 5x5 QFT simulation per layout and routing policy, and the
+// concurrent sweep engine.
 //
 // The bodies are exported plain functions taking *testing.B so that two
 // harnesses can share them: the conventional `go test -bench .` wrappers
@@ -100,10 +101,10 @@ func EngineCancel(pending int) func(*testing.B) {
 	}
 }
 
-// SemaphoreQueueWaiters is the backlog SemaphoreQueue holds: a channel
-// sends all 49 batches of a level-2 logical qubit at once, and with the
-// paper's resources a link's storage admits two of them, so the rest
-// queue on that one semaphore.
+// SemaphoreQueueWaiters is the backlog SemaphoreQueue holds: one
+// level-2 logical qubit's 49 batches, which a channel sends at once.
+// With the paper's resources a link's storage admits two of them, so up
+// to 47 queue on that one semaphore, more when channels share the link.
 const SemaphoreQueueWaiters = 49
 
 // SemaphoreQueue returns a benchmark measuring one grant from a
