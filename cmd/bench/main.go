@@ -62,9 +62,8 @@ type report struct {
 	// carries no VCS stamp.
 	Revision string `json:"revision,omitempty"`
 	// CPUs is the logical CPU count of the measuring machine — required
-	// context for the ParallelQFT numbers: the partitioned engine cannot
-	// beat the serial one on a single-CPU box no matter how well it
-	// scales, so speedups are only meaningful relative to this.
+	// context for the Sweep and DistribSweep numbers, whose worker
+	// goroutines only gain throughput where there are cores to run on.
 	CPUs int `json:"cpus"`
 	// Generated is the RFC 3339 wall-clock time of the run.
 	Generated string `json:"generated"`
@@ -96,10 +95,6 @@ type entry struct {
 	// distributed-sweep benchmark (0 for benchmarks that don't report
 	// it).
 	PointsPerSec float64 `json:"points_per_sec,omitempty"`
-	// SpeedupVsSerial is, for ParallelQFT entries with partitions > 1,
-	// the events/sec ratio against the partitions=1 entry of the same
-	// mesh (0 elsewhere).  Interpret it against CPUs.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
 }
 
 func main() {
@@ -143,7 +138,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: %s...\n", b.name)
 		rep.Benchmarks = append(rep.Benchmarks, measure(b.name, b.fn))
 	}
-	fillSpeedups(rep.Benchmarks)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -191,8 +185,7 @@ type namedBench struct {
 // benchmarks enumerates the report's benchmark suite in fixed order:
 // the engine micro-benchmarks, the cancellation regression sizes, the
 // semaphore wait queue, the full-run layout x policy matrix, the
-// parallel replay, the tracer modes, the 8-worker sweep and the
-// 2-worker distributed sweep.
+// tracer modes, the 8-worker sweep and the 2-worker distributed sweep.
 func benchmarks() []namedBench {
 	list := []namedBench{{name: "EngineSchedule", fn: perfbench.EngineSchedule}}
 	for _, n := range perfbench.CancelPendingSizes {
@@ -211,14 +204,6 @@ func benchmarks() []namedBench {
 			fn:   perfbench.QFTRun(cfg.Layout, cfg.Policy),
 		})
 	}
-	for _, edge := range perfbench.ParallelQFTEdges {
-		for _, parts := range perfbench.ParallelQFTPartitions {
-			list = append(list, namedBench{
-				name: parallelName(edge, parts),
-				fn:   perfbench.ParallelQFT(edge, parts),
-			})
-		}
-	}
 	for _, mode := range perfbench.TraceModes {
 		list = append(list, namedBench{
 			name: traceName(mode),
@@ -236,9 +221,9 @@ const allocTolerance = 0.02
 
 // allocGated reports whether -check gates an entry's allocs/op: the
 // benchmarks that run on one goroutine, whose allocation counts are a
-// deterministic function of the code.  Sweep, DistribSweep and the
-// ParallelQFT replay run worker goroutines whose allocations depend on
-// scheduling, so they are not gated.
+// deterministic function of the code.  Sweep and DistribSweep run
+// worker goroutines whose allocations depend on scheduling, so they
+// are not gated.
 func allocGated(name string) bool {
 	for _, prefix := range []string{"Engine", "SemaphoreQueue/", "QFT/", "TraceQFT/"} {
 		if strings.HasPrefix(name, prefix) {
@@ -313,38 +298,6 @@ func traceName(mode string) string {
 	return "TraceQFT/trace=" + mode
 }
 
-// parallelName is the report name of one ParallelQFT cell.
-func parallelName(edge, partitions int) string {
-	return fmt.Sprintf("ParallelQFT/mesh=%dx%d/partitions=%d", edge, edge, partitions)
-}
-
-// fillSpeedups derives SpeedupVsSerial for every ParallelQFT entry with
-// partitions > 1 from the partitions=1 entry of the same mesh.
-func fillSpeedups(entries []entry) {
-	serial := make(map[int]float64)
-	for _, edge := range perfbench.ParallelQFTEdges {
-		for i := range entries {
-			if entries[i].Name == parallelName(edge, 1) {
-				serial[edge] = entries[i].EventsPerSec
-			}
-		}
-		base := serial[edge]
-		if base <= 0 {
-			continue
-		}
-		for _, parts := range perfbench.ParallelQFTPartitions {
-			if parts == 1 {
-				continue
-			}
-			for i := range entries {
-				if entries[i].Name == parallelName(edge, parts) && entries[i].EventsPerSec > 0 {
-					entries[i].SpeedupVsSerial = entries[i].EventsPerSec / base
-				}
-			}
-		}
-	}
-}
-
 // measure runs one benchmark body through testing.Benchmark and
 // flattens the result into a report entry.
 func measure(name string, fn func(*testing.B)) entry {
@@ -378,12 +331,13 @@ func validate(data []byte) error {
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmarks in report")
 	}
-	seen := make(map[string]bool, len(rep.Benchmarks))
+	byName := make(map[string]entry, len(rep.Benchmarks))
 	for _, e := range rep.Benchmarks {
+		_, dup := byName[e.Name]
 		switch {
 		case e.Name == "":
 			return fmt.Errorf("entry with empty name")
-		case seen[e.Name]:
+		case dup:
 			return fmt.Errorf("duplicate benchmark %q", e.Name)
 		case e.Iterations <= 0:
 			return fmt.Errorf("%s: %d iterations", e.Name, e.Iterations)
@@ -392,30 +346,7 @@ func validate(data []byte) error {
 		case e.AllocsPerOp < 0:
 			return fmt.Errorf("%s: allocs/op = %d", e.Name, e.AllocsPerOp)
 		}
-		seen[e.Name] = true
-	}
-	// The ParallelQFT matrix must be complete and carry throughput:
-	// every (mesh, partitions) cell, each with a positive events/sec,
-	// and a derived speedup on every multi-partition cell.  A report
-	// missing them cannot track the parallel engine's trajectory.
-	byName := make(map[string]entry, len(rep.Benchmarks))
-	for _, e := range rep.Benchmarks {
 		byName[e.Name] = e
-	}
-	for _, edge := range perfbench.ParallelQFTEdges {
-		for _, parts := range perfbench.ParallelQFTPartitions {
-			name := parallelName(edge, parts)
-			e, ok := byName[name]
-			if !ok {
-				return fmt.Errorf("missing benchmark %q", name)
-			}
-			if e.EventsPerSec <= 0 {
-				return fmt.Errorf("%s: events/sec = %g", name, e.EventsPerSec)
-			}
-			if parts > 1 && e.SpeedupVsSerial <= 0 {
-				return fmt.Errorf("%s: speedup_vs_serial = %g", name, e.SpeedupVsSerial)
-			}
-		}
 	}
 	// The tracer-overhead trio must be complete with positive
 	// throughput, or the report cannot answer "what does telemetry

@@ -15,7 +15,6 @@ func TestAllocGatedCoversSingleGoroutineEntries(t *testing.T) {
 		"SemaphoreQueue/waiters=49":            true,
 		"QFT/layout=HomeBase/route=xy":         true,
 		"TraceQFT/trace=on":                    true,
-		"ParallelQFT/mesh=16x16/partitions=1":  false,
 		"Sweep/workers=8":                      false,
 		"DistribSweep/workers=2":               false,
 		"QFTSomethingWithoutTheSlash/whatever": false,

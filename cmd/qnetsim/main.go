@@ -10,7 +10,6 @@
 //	qnetsim -grid 12 -timeout 30s                   # bounded run
 //	qnetsim -route zigzag                           # routing policy (xy, yx, zigzag, least-congested)
 //	qnetsim -cache-dir .qnet                        # warm re-runs hit the result cache
-//	qnetsim -grid 16 -parallel 4                    # domain-decomposed parallel engine (byte-identical results)
 //	qnetsim -grid 8 -trace trace.json               # time-series congestion trace (qnet/trace JSON)
 //	qnetsim -grid 16 -cpuprofile cpu.pprof          # profile the hot loop (go tool pprof cpu.pprof)
 //	qnetsim -grid 16 -memprofile mem.pprof          # heap profile after the run
@@ -62,7 +61,6 @@ func realMain() int {
 		fDead    = flag.Float64("fault-dead", 0, "fraction of mesh links killed before the run (use -route fault-adaptive to route around them)")
 		fDrop    = flag.Float64("fault-drop", 0, "per-hop batch drop probability on live links")
 		seed     = flag.Int64("seed", 0, "fault-pattern and failure-injection RNG seed")
-		parallel = flag.Int("parallel", 0, "run on the domain-decomposed parallel engine with this many row-band regions (0 or 1 = serial; results are byte-identical)")
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this wall-clock time (0 = none)")
 		traceOut = flag.String("trace", "", "write a time-series congestion trace (versioned JSON) to this file")
 		traceIv  = flag.Duration("trace-interval", 0, "simulated-time sampling interval for -trace (0 = the trace package default)")
@@ -108,7 +106,7 @@ func realMain() int {
 		workload: *wl, program: *program, gridN: *gridN, layout: *layout,
 		t: *t, g: *g, p: *p, depth: *depth, level: *level, hopCells: *hopCell,
 		route: *routeFl, failure: *failure, faultDead: *fDead, faultDrop: *fDrop,
-		seed: *seed, parallel: *parallel, timeout: *timeout,
+		seed: *seed, timeout: *timeout,
 		traceOut: *traceOut, traceInterval: *traceIv,
 		heatmap: *heatmap, cacheDir: *cache,
 	}); err != nil {
@@ -126,7 +124,6 @@ type opts struct {
 	failure                      float64
 	faultDead, faultDrop         float64
 	seed                         int64
-	parallel                     int
 	timeout                      time.Duration
 	traceOut                     string
 	traceInterval                time.Duration
@@ -188,7 +185,6 @@ func run(o opts) error {
 		simulate.WithFailureRate(o.failure),
 		simulate.WithFaults(fault.Spec{DeadLinks: o.faultDead, Drop: o.faultDrop}),
 		simulate.WithSeed(o.seed),
-		simulate.WithParallelism(o.parallel),
 	}
 	if o.cacheDir != "" {
 		mopts = append(mopts, simulate.WithCacheDir(o.cacheDir))

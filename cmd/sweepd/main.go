@@ -21,7 +21,6 @@
 //	sweepd -listen :9000
 //	sweepd -listen :9000 -cache-dir /var/qnet/store -serve-store
 //	sweepd -listen :9000 -parallel 4
-//	sweepd -listen :9000 -run-parallel 4
 //	sweepd -listen :9000 -telemetry 100us   # per-run tracers feed /v1/status
 //	sweepd -listen :9000 -drain-timeout 30s # graceful-drain deadline on SIGTERM
 //
@@ -53,13 +52,12 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("listen", ":9000", "address to serve the job API on")
-		cacheDir    = flag.String("cache-dir", "", "directory for the worker's on-disk result store (empty: in-memory)")
-		parallel    = flag.Int("parallel", 0, "points simulated concurrently per job (0 = GOMAXPROCS)")
-		runParallel = flag.Int("run-parallel", 0, "row-band regions of the parallel event engine per simulation (0 or 1 = serial; results are byte-identical)")
-		serveStore  = flag.Bool("serve-store", false, "also expose the worker's local store over the /v1/store API")
-		telemetry   = flag.Duration("telemetry", 0, "attach a per-run telemetry tracer sampled at this simulated-time interval, feeding /v1/status with live event-rate and occupancy (0 = progress counters only)")
-		drainLimit  = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight shards before exiting anyway")
+		listen     = flag.String("listen", ":9000", "address to serve the job API on")
+		cacheDir   = flag.String("cache-dir", "", "directory for the worker's on-disk result store (empty: in-memory)")
+		parallel   = flag.Int("parallel", 0, "points simulated concurrently per job (0 = GOMAXPROCS)")
+		serveStore = flag.Bool("serve-store", false, "also expose the worker's local store over the /v1/store API")
+		telemetry  = flag.Duration("telemetry", 0, "attach a per-run telemetry tracer sampled at this simulated-time interval, feeding /v1/status with live event-rate and occupancy (0 = progress counters only)")
+		drainLimit = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight shards before exiting anyway")
 	)
 	flag.Parse()
 
@@ -78,7 +76,6 @@ func main() {
 	wopts := []distrib.WorkerOption{
 		distrib.WithWorkerStore(store),
 		distrib.WithWorkerParallelism(*parallel),
-		distrib.WithWorkerRunParallelism(*runParallel),
 	}
 	if *telemetry > 0 {
 		wopts = append(wopts, distrib.WithWorkerTelemetry(*telemetry))

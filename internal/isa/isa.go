@@ -14,7 +14,11 @@
 //	mm 4 8                     # macro with offset: 8..11 x 12..15
 //
 // Macros expand to the corresponding workload generators, so a hand
-// written kernel can mix explicit ops with standard patterns.
+// written kernel can mix explicit ops with standard patterns.  A macro
+// must fit inside the declared qubits (offset+n for qft, offset+2n for
+// mm), and a program may hold at most MaxOps ops; both are checked
+// before a macro expands, so a short line cannot make Parse build an
+// outsized program.
 package isa
 
 import (
@@ -27,11 +31,17 @@ import (
 	"repro/internal/workload"
 )
 
+// MaxOps is the most ops a parsed program may hold, explicit and
+// macro-expanded together.  It is far above any workload the simulator
+// runs in reasonable time (the paper's QFT-256 is 32,640 ops) and keeps
+// a parsed program's op list at a few tens of megabytes.
+const MaxOps = 1 << 20
+
 // Parse reads an instruction stream.
 func Parse(r io.Reader) (workload.Program, error) {
 	var prog workload.Program
 	prog.Name = "program"
-	sawQubits := false
+	qubitsLine := 0 // line of the qubits declaration, 0 before it
 
 	sc := bufio.NewScanner(r)
 	lineNo := 0
@@ -62,10 +72,13 @@ func Parse(r io.Reader) (workload.Program, error) {
 			if n < 1 {
 				return prog, fmt.Errorf("isa: line %d: qubit count must be >= 1, got %d", lineNo, n)
 			}
+			if qubitsLine > 0 {
+				return prog, fmt.Errorf("isa: line %d: qubits already declared on line %d", lineNo, qubitsLine)
+			}
 			prog.Qubits = n
-			sawQubits = true
+			qubitsLine = lineNo
 		case "op":
-			if !sawQubits {
+			if qubitsLine == 0 {
 				return prog, fmt.Errorf("isa: line %d: op before qubits declaration", lineNo)
 			}
 			if len(fields) != 3 {
@@ -79,13 +92,16 @@ func Parse(r io.Reader) (workload.Program, error) {
 			if err != nil {
 				return prog, err
 			}
+			if len(prog.Ops) >= MaxOps {
+				return prog, fmt.Errorf("isa: line %d: program exceeds %d ops", lineNo, MaxOps)
+			}
 			prog.Ops = append(prog.Ops, workload.Op{A: a, B: b})
 		case "qft":
-			if err := expandMacro(&prog, fields, lineNo, sawQubits, macroQFT); err != nil {
+			if err := expandMacro(&prog, fields, lineNo, qubitsLine > 0, macroQFT); err != nil {
 				return prog, err
 			}
 		case "mm":
-			if err := expandMacro(&prog, fields, lineNo, sawQubits, macroMM); err != nil {
+			if err := expandMacro(&prog, fields, lineNo, qubitsLine > 0, macroMM); err != nil {
 				return prog, err
 			}
 		default:
@@ -95,7 +111,7 @@ func Parse(r io.Reader) (workload.Program, error) {
 	if err := sc.Err(); err != nil {
 		return prog, fmt.Errorf("isa: %w", err)
 	}
-	if !sawQubits {
+	if qubitsLine == 0 {
 		return prog, fmt.Errorf("isa: missing qubits declaration")
 	}
 	if err := prog.Validate(); err != nil {
@@ -104,10 +120,21 @@ func Parse(r io.Reader) (workload.Program, error) {
 	return prog, nil
 }
 
-type macro func(n int) workload.Program
+// macro is a standard pattern a size argument n expands to.
+type macro struct {
+	span   int                 // qubits per unit of n: qft touches n, mm 2n
+	ops    func(n int64) int64 // ops the expansion emits
+	expand func(n int) workload.Program
+}
 
-func macroQFT(n int) workload.Program { return workload.QFT(n) }
-func macroMM(n int) workload.Program  { return workload.ModMult(n) }
+var (
+	macroQFT = macro{span: 1, ops: func(n int64) int64 { return n * (n - 1) / 2 }, expand: workload.QFT}
+	macroMM  = macro{span: 2, ops: func(n int64) int64 { return n * n }, expand: workload.ModMult}
+)
+
+// maxMacroSize bounds n before the op count is computed: either macro
+// of this size already exceeds MaxOps, and the product cannot overflow.
+const maxMacroSize = 1 << 21
 
 func expandMacro(prog *workload.Program, fields []string, lineNo int, sawQubits bool, m macro) error {
 	if !sawQubits {
@@ -133,7 +160,15 @@ func expandMacro(prog *workload.Program, fields []string, lineNo int, sawQubits 
 			return fmt.Errorf("isa: line %d: offset must be >= 0, got %d", lineNo, offset)
 		}
 	}
-	for _, op := range m(n).Ops {
+	// offset+span*n <= Qubits, written so that neither side overflows.
+	if n > (prog.Qubits-offset)/m.span {
+		return fmt.Errorf("isa: line %d: %s %d at offset %d runs past the %d declared qubits",
+			lineNo, fields[0], n, offset, prog.Qubits)
+	}
+	if n > maxMacroSize || m.ops(int64(n)) > int64(MaxOps-len(prog.Ops)) {
+		return fmt.Errorf("isa: line %d: %s %d would grow the program past %d ops", lineNo, fields[0], n, MaxOps)
+	}
+	for _, op := range m.expand(n).Ops {
 		prog.Ops = append(prog.Ops, workload.Op{A: op.A + offset, B: op.B + offset})
 	}
 	return nil

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,10 +73,35 @@ func TestParseErrors(t *testing.T) {
 		"macro size":        "qubits 8\nmm 0\n",
 		"program arity":     "program a b\nqubits 2\nop 0 1\n",
 		"qubits arity":      "qubits 4 5\n",
+		"second qubits":     "qubits 4\nqubits 8\nop 0 7\n",
+		"qft past qubits":   "qubits 4\nqft 4000\n",
+		"mm past qubits":    "qubits 8\nmm 3 3\n",
+		"offset past end":   "qubits 8\nqft 2 9\n",
+		"op budget":         "qubits 2000\nqft 1500\n",
 	}
 	for name, src := range cases {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected parse error for %q", name, src)
+		}
+	}
+}
+
+// TestParseBoundsMacroBeforeExpanding pins that an oversized macro is
+// rejected from its arguments alone, with its line number: neither a
+// range past the declared qubits nor an expansion past MaxOps builds
+// its ops first.  Expanded, each of these would allocate tens of
+// megabytes.
+func TestParseBoundsMacroBeforeExpanding(t *testing.T) {
+	for _, src := range []string{"qubits 4\nqft 1000", "qubits 2000\nqft 1500"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(strings.NewReader(src))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("Parse(%q) = %v, want an error naming line 2", src, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("Parse(%q) allocated %d bytes, want the macro rejected before expanding", src, grew)
 		}
 	}
 }

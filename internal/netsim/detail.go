@@ -61,29 +61,12 @@ func RunDetailedContext(ctx context.Context, cfg Config, prog workload.Program) 
 		return Result{}, nil, fmt.Errorf("netsim: %d qubits exceed %d tiles", prog.Qubits, cfg.Grid.Tiles())
 	}
 
-	s := &simulator{cfg: cfg}
-	plan, err := s.planPartition()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if plan != nil {
-		// Parallel mode: the coupled model executes inside region 0 of
-		// the partitioned engine; see parallel.go for the decomposition
-		// contract.
-		s.engine = plan.engine.Region(0).Engine
-	} else {
-		s.engine = sim.New()
-	}
+	s := &simulator{cfg: cfg, engine: sim.New()}
 	if err := s.build(prog); err != nil {
 		return Result{}, nil, err
 	}
 	s.tryIssue()
-	if plan != nil {
-		err = plan.run(ctx)
-	} else {
-		_, err = s.engine.RunContext(ctx, 0)
-	}
-	if err != nil {
+	if _, err := s.engine.RunContext(ctx, 0); err != nil {
 		return Result{}, nil, fmt.Errorf("netsim: run aborted: %w", err)
 	}
 	if s.err != nil {

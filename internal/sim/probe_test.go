@@ -95,8 +95,8 @@ func TestProbeAttachMidRun(t *testing.T) {
 
 // TestRunUntilSamplesTrailingBoundaries pins the window-advance path:
 // RunUntil fires every boundary between the last event and the horizon,
-// so a partitioned run advancing in quiet windows samples the same
-// instants a serial event-by-event run would.
+// so a run advanced in quiet windows samples the same instants an
+// event-by-event run would.
 func TestRunUntilSamplesTrailingBoundaries(t *testing.T) {
 	e := New()
 	p := &recProbe{}

@@ -294,15 +294,6 @@ func (e *Engine) peek() (top heapEntry, ok bool) {
 	return heapEntry{}, false
 }
 
-// NextEventAt returns the time of the earliest pending event, or ok ==
-// false when no live event remains.  It does not advance the clock; the
-// partitioned engine uses it to compute the global horizon of a
-// conservative window.
-func (e *Engine) NextEventAt() (time.Duration, bool) {
-	top, ok := e.peek()
-	return top.at, ok
-}
-
 // Run executes events until none remain or the event budget is
 // exhausted, returning the number executed.  A budget of 0 means
 // unlimited.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -189,42 +190,6 @@ func TestWorkerExecute(t *testing.T) {
 		}
 		if pr.Err != "" || pr.Cached || pr.Result.Events == 0 {
 			t.Fatalf("index %d: unexpected result %+v", idx, pr)
-		}
-	}
-}
-
-// TestWorkerRunParallelism runs the same shard on a serial worker and
-// on one driving every simulation through the parallel event engine;
-// the emitted results must be identical point for point (parallelism is
-// an engine choice, never a result change).
-func TestWorkerRunParallelism(t *testing.T) {
-	spec := testSpec(t)
-	execute := func(w *Worker) map[int]PointResult {
-		var mu sync.Mutex
-		got := make(map[int]PointResult)
-		err := w.Execute(context.Background(), Job{Space: spec, Indices: []int{0, 2, 4}}, func(pr PointResult) error {
-			mu.Lock()
-			defer mu.Unlock()
-			got[pr.Index] = pr
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	serial := execute(NewWorker())
-	parallel := execute(NewWorker(WithWorkerRunParallelism(4)))
-	if len(parallel) != len(serial) {
-		t.Fatalf("parallel worker emitted %d points, serial %d", len(parallel), len(serial))
-	}
-	for idx, want := range serial {
-		got, ok := parallel[idx]
-		if !ok {
-			t.Fatalf("index %d missing from parallel worker", idx)
-		}
-		if got != want {
-			t.Errorf("index %d: parallel %+v, serial %+v", idx, got, want)
 		}
 	}
 }
@@ -436,6 +401,52 @@ func TestStoreServerRejectsBadKey(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad key: status %d", resp.StatusCode)
+	}
+}
+
+// TestRemoteStoreBoundsBodies serves oversized bodies to RemoteStore:
+// a Result past maxResultBody is a corrupt miss, a stats body past
+// maxStatsBody is an error, and a server that keeps streaming cannot
+// hold the client — it stops reading at the bound and hangs up.
+func TestRemoteStoreBoundsBodies(t *testing.T) {
+	const stream = 64 << 20
+	written := make(chan int, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc(storeStatsPath, func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"Hits":1,"Pad":"%s"}`, strings.Repeat("x", maxStatsBody))
+	})
+	mux.HandleFunc(storePath, func(w http.ResponseWriter, r *http.Request) {
+		n, _ := io.WriteString(w, `{"Events":1,"Pad":"`)
+		chunk := strings.Repeat("x", 32<<10)
+		for n < stream {
+			m, err := io.WriteString(w, chunk)
+			n += m
+			if err != nil {
+				break
+			}
+		}
+		written <- n
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	rs := NewRemoteStore(srv.URL)
+	if _, ok := rs.Get(simulate.Key{1}); ok {
+		t.Fatal("oversized Result body was a hit")
+	}
+	if s := rs.Stats(); s.CorruptEntries != 1 || s.Misses != 1 {
+		t.Errorf("client stats %+v, want one corrupt miss", s)
+	}
+	select {
+	case n := <-written:
+		if n >= stream {
+			t.Errorf("client read the whole %d-byte stream; want it to stop near the %d-byte bound", n, maxResultBody)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server still streaming: the client never hung up")
+	}
+	if _, err := rs.ServerStats(context.Background()); err == nil {
+		t.Error("oversized stats body decoded without error")
 	}
 }
 

@@ -28,6 +28,14 @@ const storePath = "/v1/store/"
 // storeStatsPath is the URL of the store API's counters endpoint.
 const storeStatsPath = "/v1/store/stats"
 
+// maxResultBody bounds one Result body in either direction: what the
+// server accepts on PUT and what RemoteStore reads back on GET.
+// maxStatsBody bounds a stats body, like a worker's /v1/status.
+const (
+	maxResultBody = 1 << 20
+	maxStatsBody  = 1 << 16
+)
+
 // parseKey parses the lowercase-hex wire form of a simulate.Key (the
 // form Key.String prints).
 func parseKey(s string) (simulate.Key, error) {
@@ -86,7 +94,7 @@ func (s *StoreServer) serveKey(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, res)
 	case http.MethodPut:
 		var res simulate.Result
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&res); err != nil {
+		if err := json.NewDecoder(io.LimitReader(r.Body, maxResultBody)).Decode(&res); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -217,15 +225,13 @@ func (rs *RemoteStore) Get(k simulate.Key) (simulate.Result, bool) {
 	if err != nil {
 		return rs.miss()
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return rs.miss()
 	}
+	// A body past the bound decodes truncated and counts as corrupt.
 	var res simulate.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResultBody)).Decode(&res); err != nil {
 		rs.stats.mu.Lock()
 		rs.stats.s.CorruptEntries++
 		rs.stats.mu.Unlock()
@@ -267,11 +273,18 @@ func (rs *RemoteStore) Put(k simulate.Key, res simulate.Result) {
 		rs.writeError()
 		return
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	drainClose(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		rs.writeError()
 	}
+}
+
+// drainClose reads at most maxResultBody more bytes of a response body,
+// so a small remainder leaves the connection reusable while an
+// oversized one cannot hold the client, then closes it.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, maxResultBody))
+	body.Close()
 }
 
 // writeError counts one failed Put.
@@ -307,7 +320,7 @@ func (rs *RemoteStore) ServerStats(ctx context.Context) (simulate.CacheStats, er
 		return simulate.CacheStats{}, fmt.Errorf("distrib: store stats: %s", resp.Status)
 	}
 	var stats simulate.CacheStats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxStatsBody)).Decode(&stats); err != nil {
 		return simulate.CacheStats{}, err
 	}
 	return stats, nil

@@ -21,12 +21,11 @@ import (
 // WithWorkerTelemetry — the event-rate and occupancy telemetry of the
 // runs in flight.
 type Worker struct {
-	store       simulate.Store
-	parallel    int
-	runParallel int
-	newRemote   func(ctx context.Context, url string) simulate.Store
-	telemetry   bool
-	traceIv     time.Duration
+	store     simulate.Store
+	parallel  int
+	newRemote func(ctx context.Context, url string) simulate.Store
+	telemetry bool
+	traceIv   time.Duration
 
 	mu     sync.Mutex
 	active map[*trace.Tracer]struct{} // tracers of in-flight points (telemetry on)
@@ -49,16 +48,6 @@ func WithWorkerStore(st simulate.Store) WorkerOption {
 // GOMAXPROCS.
 func WithWorkerParallelism(n int) WorkerOption {
 	return func(w *Worker) { w.parallel = n }
-}
-
-// WithWorkerRunParallelism runs every simulation of every job on the
-// domain-decomposed parallel event engine with n regions
-// (simulate.WithParallelism).  Results and cache keys are unchanged —
-// parallel runs are byte-identical to serial ones — so a fleet may mix
-// workers with different settings against one shared store.  Values
-// below 2 (and the default) keep the serial engine.
-func WithWorkerRunParallelism(n int) WorkerOption {
-	return func(w *Worker) { w.runParallel = n }
 }
 
 // WithWorkerTelemetry attaches a telemetry tracer (qnet/trace) to every
@@ -137,9 +126,6 @@ func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) er
 	space, err := job.Space.Space()
 	if err != nil {
 		return err
-	}
-	if w.runParallel >= 2 {
-		space.Options = append(space.Options, simulate.WithParallelism(w.runParallel))
 	}
 	pts, err := space.Points()
 	if err != nil {

@@ -169,24 +169,12 @@ func WithFaults(sp fault.Spec) Option {
 	return optionFunc(func(s *machineSpec) { s.cfg.Faults = sp })
 }
 
-// WithParallelism runs the machine's simulations on the
-// domain-decomposed parallel event engine with n regions (contiguous
-// row bands of the mesh, synchronized by a conservative lookahead
-// barrier).  0 and 1 (the default) select the serial engine; larger
-// values are clamped to the grid height.  Parallelism is an engine
-// choice, not a model change: results are byte-identical to a serial
-// run of the same machine, which is why CacheKey ignores it — a cached
-// serial result answers a parallel run and vice versa.
-func WithParallelism(n int) Option {
-	return optionFunc(func(s *machineSpec) { s.cfg.Parallel = n })
-}
-
 // WithTrace attaches a telemetry tracer (qnet/trace) to the machine:
 // every Run samples per-router occupancy, per-link utilization and
 // drop/resend events into it over simulated time.  The tracer is an
 // observer, not a model change — a traced run executes the same events
-// and produces a byte-identical Result, so CacheKey ignores it like
-// WithParallelism.  A traced Run always simulates (a cached Result has
+// and produces a byte-identical Result, so CacheKey ignores it.  A
+// traced Run always simulates (a cached Result has
 // nothing for the tracer to observe) but still stores its result into
 // an attached cache.  A Tracer records one run at a time; attach a
 // fresh tracer per concurrent run (Machine.WithTrace derives per-run
@@ -270,9 +258,6 @@ func validate(cfg netsim.Config) error {
 	if err := cfg.Faults.Validate(cfg.Grid); err != nil {
 		return &qnet.ConfigError{Field: "Faults", Value: cfg.Faults.String(), Reason: err.Error()}
 	}
-	if cfg.Parallel < 0 {
-		return &qnet.ConfigError{Field: "Parallelism", Value: cfg.Parallel, Reason: "must be >= 0"}
-	}
 	return nil
 }
 
@@ -292,10 +277,6 @@ func (m *Machine) RoutingName() string { return route.NameOf(m.cfg.Route) }
 
 // Seed returns the machine's base RNG seed.
 func (m *Machine) Seed() int64 { return m.cfg.Seed }
-
-// Parallelism returns the machine's requested parallel region count (0
-// or 1 means the serial engine).
-func (m *Machine) Parallelism() int { return m.cfg.Parallel }
 
 // Faults returns the machine's fault spec (the zero Spec on a healthy
 // machine).
